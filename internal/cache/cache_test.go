@@ -214,77 +214,3 @@ func TestHierarchyLLCFilter(t *testing.T) {
 		t.Errorf("LLC misses grew from %d to %d on resident set", miss0, got)
 	}
 }
-
-func TestStridePrefetcherDetectsStride(t *testing.T) {
-	p := NewStridePrefetcher(64, 2)
-	var buf []addr.Addr
-	// Sequential 64 B stream within one 4 KB region: stride confirmed on
-	// the third access, prefetches from the fourth observation onward.
-	got := 0
-	for i := 0; i < 8; i++ {
-		buf = p.Observe(addr.Addr(i*64), buf)
-		got += len(buf)
-	}
-	if got == 0 {
-		t.Fatal("sequential stream produced no prefetches")
-	}
-	if p.Issued == 0 {
-		t.Error("issued counter not updated")
-	}
-	// Candidates continue the stride.
-	buf = p.Observe(addr.Addr(8*64), buf)
-	if len(buf) != 2 || buf[0] != addr.Addr(9*64) || buf[1] != addr.Addr(10*64) {
-		t.Errorf("candidates = %v", buf)
-	}
-}
-
-func TestStridePrefetcherIgnoresRandom(t *testing.T) {
-	p := NewStridePrefetcher(64, 2)
-	var buf []addr.Addr
-	addrs := []uint64{0, 7, 3, 29, 11, 23, 5, 31}
-	issued := 0
-	for _, a := range addrs {
-		buf = p.Observe(addr.Addr(a*64), buf)
-		issued += len(buf)
-	}
-	if issued > 2 {
-		t.Errorf("random stream issued %d prefetches", issued)
-	}
-}
-
-func TestHierarchyPrefetchReducesMisses(t *testing.T) {
-	mk := func(pf bool) uint64 {
-		h, err := NewHierarchy(config.Default().Caches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pf {
-			h.EnablePrefetch(1, NewStridePrefetcher(256, 4), nil)
-		}
-		// A long sequential stream beyond every cache.
-		for i := 0; i < 300000; i++ {
-			h.Access(addr.Addr(i*64), false)
-		}
-		return h.LLC().Stats().Misses
-	}
-	without := mk(false)
-	with := mk(true)
-	if with >= without {
-		t.Errorf("prefetching did not reduce LLC misses: %d vs %d", with, without)
-	}
-}
-
-func TestPrefetchSinkCalled(t *testing.T) {
-	h, err := NewHierarchy(config.Default().Caches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sunk int
-	h.EnablePrefetch(1, NewStridePrefetcher(64, 2), func(addr.Addr) { sunk++ })
-	for i := 0; i < 64; i++ {
-		h.Access(addr.Addr(i*64), false)
-	}
-	if sunk == 0 {
-		t.Error("sink never called for prefetch fills")
-	}
-}

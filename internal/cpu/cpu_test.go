@@ -159,40 +159,3 @@ func TestMissCountMatchesMemoryAccesses(t *testing.T) {
 		t.Errorf("LLC misses %d != memory accesses %d", res.LLCMisses, mem.accesses)
 	}
 }
-
-func TestRunWithPrefetchReducesMissStalls(t *testing.T) {
-	// A streaming workload: the prefetcher converts demand misses into
-	// background fills, improving IPC even though memory traffic stays.
-	stream := trace.Profile{Name: "stream", FootprintBytes: 64 * addr.MiB, AvgGap: 4,
-		RunMean: 128, HotFraction: 0.5, HotProbability: 0.1, WriteFraction: 0.1}
-	base, err := Run(config.Default().Core, hier(t), &fixedMem{lat: 600}, stream1(t, stream, 150000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := &fixedMem{lat: 600}
-	pf, err := Run(config.Default().Core, hier(t), mem, stream1(t, stream, 150000),
-		WithPrefetch(256, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.LLCMisses >= base.LLCMisses {
-		t.Errorf("prefetch did not cut LLC misses: %d vs %d", pf.LLCMisses, base.LLCMisses)
-	}
-	if pf.IPC() <= base.IPC() {
-		t.Errorf("prefetch IPC %f <= baseline %f", pf.IPC(), base.IPC())
-	}
-	// Prefetch fills are charged to memory.
-	if mem.accesses <= pf.LLCMisses {
-		t.Errorf("memory accesses %d do not include prefetch fills (misses %d)",
-			mem.accesses, pf.LLCMisses)
-	}
-}
-
-func stream1(t *testing.T, p trace.Profile, n uint64) trace.Stream {
-	t.Helper()
-	g, err := trace.NewSynthetic(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &trace.Limit{S: g, N: n}
-}

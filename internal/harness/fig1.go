@@ -126,7 +126,7 @@ func (h *Harness) Fig1() ([]Fig1Result, error) {
 			name, label := Fig1Benchmarks[ni], sizeLabel(Fig1LineSizes[li])
 			return cell{ID: cellID("fig1", name, label), Seed: runner.Seed("fig1", name, label)}
 		},
-		func(ni, li int) (Fig1Result, error) {
+		func(ni, li int, _ *frontEnd) (Fig1Result, error) {
 			name, ls := Fig1Benchmarks[ni], Fig1LineSizes[li]
 			b, err := trace.ByName(name)
 			if err != nil {

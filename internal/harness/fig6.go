@@ -53,21 +53,29 @@ func (h *Harness) Fig6() ([]Fig6Result, error) {
 		return nil, err
 	}
 	cfgs := Fig6Configs()
+	system := func(cfg Fig6Config) config.System {
+		sys := h.System()
+		sys.BlockBytes = cfg.BlockKB * addr.KiB
+		sys.PageBytes = cfg.PageKB * addr.KiB
+		return sys
+	}
+	fronts := make([][]string, len(cfgs))
+	for ci, cfg := range cfgs {
+		fronts[ci] = h.frontKeys(config.DesignBumblebee, system(cfg), bs)
+	}
 	speedups, err := sweepGrid(h, cfgs, bs, 1,
 		func(ci, bi int) cell {
 			cfg, b := cfgs[ci], bs[bi].Profile.Name
-			return cell{ID: cellID("fig6", cfg.Label(), b), Seed: runner.Seed(string(config.DesignBumblebee), b)}
+			return cell{ID: cellID("fig6", cfg.Label(), b), Seed: runner.Seed(string(config.DesignBumblebee), b), Front: fronts[ci][bi]}
 		},
-		func(ci, bi int) (float64, error) {
+		func(ci, bi int, fe *frontEnd) (float64, error) {
 			cfg, b := cfgs[ci], bs[bi]
-			sys := h.System()
-			sys.BlockBytes = cfg.BlockKB * addr.KiB
-			sys.PageBytes = cfg.PageKB * addr.KiB
+			sys := system(cfg)
 			mem, err := Build(config.DesignBumblebee, sys)
 			if err != nil {
 				return 0, fmt.Errorf("fig6 %s: %w", cfg.Label(), err)
 			}
-			r, err := h.Run(sys, mem, b)
+			r, err := h.runFront(fe, sys, mem, b)
 			if err != nil {
 				return 0, fmt.Errorf("fig6 %s/%s: %w", cfg.Label(), b.Profile.Name, err)
 			}

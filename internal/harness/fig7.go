@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
@@ -27,20 +28,30 @@ func (h *Harness) Fig7() ([]Fig7Result, error) {
 		return nil, err
 	}
 	vs := Fig7Variants()
+	system := func(v Variant) config.System {
+		sys := h.System()
+		v.Apply(&sys)
+		return sys
+	}
+	// The fixed-ratio bars rename the design, which reseeds their traces:
+	// only the bars that keep the name share a benchmark's front end.
+	fronts := make([][]string, len(vs))
+	for vi, v := range vs {
+		fronts[vi] = h.frontKeys(config.DesignBumblebee, system(v), bs)
+	}
 	speedups, err := sweepGrid(h, vs, bs, 1,
 		func(vi, bi int) cell {
 			v, b := vs[vi], bs[bi].Profile.Name
-			return cell{ID: cellID("fig7", v.Label, b), Seed: runner.Seed("bumblebee", b)}
+			return cell{ID: cellID("fig7", v.Label, b), Seed: runner.Seed("bumblebee", b), Front: fronts[vi][bi]}
 		},
-		func(vi, bi int) (float64, error) {
+		func(vi, bi int, fe *frontEnd) (float64, error) {
 			v, b := vs[vi], bs[bi]
-			sys := h.System()
-			v.Apply(&sys)
-			mem, err := Build("bumblebee", sys)
+			sys := system(v)
+			mem, err := Build(config.DesignBumblebee, sys)
 			if err != nil {
 				return 0, fmt.Errorf("fig7 %s: %w", v.Label, err)
 			}
-			r, err := h.Run(sys, mem, b)
+			r, err := h.runFront(fe, sys, mem, b)
 			if err != nil {
 				return 0, fmt.Errorf("fig7 %s/%s: %w", v.Label, b.Profile.Name, err)
 			}

@@ -52,7 +52,7 @@ func (h *Harness) fig8Runs(bs []trace.Benchmark) ([][]RunResult, error) {
 			d, b := Fig8Designs[di], bs[bi].Profile.Name
 			return cell{ID: cellID("fig8", string(d), b), Seed: runner.Seed(string(d), b)}
 		},
-		func(di, bi int) (RunResult, error) {
+		func(di, bi int, _ *frontEnd) (RunResult, error) {
 			d, b := Fig8Designs[di], bs[bi]
 			r, err := h.RunDesign(d, b)
 			if err != nil {

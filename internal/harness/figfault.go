@@ -93,21 +93,31 @@ func (h *Harness) FigFaultWith(designs []config.Design, rates []float64) (*FigFa
 			cells = append(cells, figFaultCell{design: d, rate: r})
 		}
 	}
+	system := func(c figFaultCell) config.System {
+		sys := h.System()
+		sys.Faults = FaultsAtRate(c.rate)
+		return sys
+	}
+	// Fault injection lives behind the SRAM hierarchy, so a design's runs
+	// of one benchmark at every rate share their front end.
+	fronts := make([][]string, len(cells))
+	for ci, c := range cells {
+		fronts[ci] = h.frontKeys(c.design, system(c), bs)
+	}
 	runs, err := sweepGrid(h, cells, bs, 1,
 		func(ci, bi int) cell {
 			c, b := cells[ci], bs[bi].Profile.Name
 			label := fmt.Sprintf("%s@%s", c.design, strconv.FormatFloat(c.rate, 'g', -1, 64))
-			return cell{ID: cellID("figfault", label, b), Seed: runner.Seed(string(c.design), b)}
+			return cell{ID: cellID("figfault", label, b), Seed: runner.Seed(string(c.design), b), Front: fronts[ci][bi]}
 		},
-		func(ci, bi int) (RunResult, error) {
+		func(ci, bi int, fe *frontEnd) (RunResult, error) {
 			c, b := cells[ci], bs[bi]
-			sys := h.System()
-			sys.Faults = FaultsAtRate(c.rate)
+			sys := system(c)
 			mem, err := Build(c.design, sys)
 			if err != nil {
 				return RunResult{}, fmt.Errorf("figfault %s@%g: %w", c.design, c.rate, err)
 			}
-			r, err := h.Run(sys, mem, b)
+			r, err := h.runFront(fe, sys, mem, b)
 			if err != nil {
 				return RunResult{}, fmt.Errorf("figfault %s@%g/%s: %w", c.design, c.rate, b.Profile.Name, err)
 			}

@@ -14,6 +14,19 @@
 // assembled in matrix order and each cell seeds its trace generator from a
 // stable hash of the design and benchmark names, so a sweep's output is
 // bit-identical at any Parallel setting.
+//
+// Cells whose front-end inputs are equal — the same resolved trace
+// profile (seed included), access count and SRAM cache configuration,
+// see frontKey — form a group that runs on one worker, one member after
+// another. The first member that is not resumed from the checkpoint
+// journal filters the trace through the cache hierarchy and records the
+// verdicts on a tape (cpu.Record); the others replay the tape against
+// their own design (cpu.Replay) instead of re-filtering, with
+// byte-identical results. Everything else stays per cell: journal
+// records, retries, sweep-tracker completions, alerts and logs. The
+// fault sweep, Fig 6, Fig 7 and MAL share this way; sweeps that compare
+// designs (Fig 8, the baselines, matrix mode, ReplaySweep) see traces
+// seeded apart and run every cell alone.
 package harness
 
 import (
@@ -113,6 +126,10 @@ type Harness struct {
 	// strictly outside the simulation and never influence results.
 	Spans      *obs.JobTrace
 	SpanParent obs.SpanID
+
+	// onRecord, when set, is called from the worker each time a run
+	// records a front-end tape, so tests can count recordings.
+	onRecord func()
 }
 
 // accBufPool holds trace ingestion buffers (see cpu.WithAccessBuffer),
@@ -189,16 +206,83 @@ type RunResult struct {
 // generator is seeded from runner.Seed(design, benchmark) — the sweep
 // determinism rule: a cell's stream depends only on what the cell *is*,
 // never on when or where it ran.
+//
+// Run always filters the trace through a fresh SRAM hierarchy. Inside a
+// sweep, cells whose front-end inputs are equal (see frontKey) share
+// that work instead: they run back to back on one worker, the first one
+// records the hierarchy's verdicts on a tape and the others replay it
+// against their own design, with byte-identical results.
 func (h *Harness) Run(sys config.System, mem hmm.MemSystem, b trace.Benchmark) (RunResult, error) {
-	p := b.Profile
-	if p.Seed == 0 {
-		p.Seed = runner.Seed(mem.Name(), p.Name)
-	}
+	return h.runFront(nil, sys, mem, b)
+}
+
+// runFront is Run with front-end sharing: with a non-nil fe, the run
+// replays fe's tape when it was recorded from this run's front-end
+// inputs, and otherwise records a new one into fe.
+func (h *Harness) runFront(fe *frontEnd, sys config.System, mem hmm.MemSystem, b trace.Benchmark) (RunResult, error) {
+	p := resolveProfile(mem.Name(), b)
 	gen, err := trace.NewSynthetic(p)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return h.runStream(sys, mem, p.Name, &trace.Limit{S: gen, N: h.Accesses}, p.Seed)
+	key := ""
+	if fe != nil {
+		key = h.frontKey(sys, p)
+	}
+	return h.runStream(sys, mem, p.Name, &trace.Limit{S: gen, N: h.Accesses}, p.Seed, fe, key)
+}
+
+// resolveProfile returns b's trace profile as Run generates it for a
+// design named name: an unseeded profile takes the cell-identity seed.
+func resolveProfile(name string, b trace.Benchmark) trace.Profile {
+	p := b.Profile
+	if p.Seed == 0 {
+		p.Seed = runner.Seed(name, p.Name)
+	}
+	return p
+}
+
+// frontKey names everything a run's front end depends on: the resolved
+// trace profile (seed included), the access cap, and the SRAM hierarchy
+// configuration. Two runs with equal keys read the same trace and get
+// the same hierarchy verdicts, whatever their memory designs.
+func (h *Harness) frontKey(sys config.System, p trace.Profile) string {
+	return fmt.Sprintf("%#v|%d|%#v", p, h.Accesses, sys.Caches)
+}
+
+// frontKeys returns the frontKey of every benchmark in bs run on design
+// d built for sys. It builds the design once to learn the name Run seeds
+// traces from (Bumblebee's fixed-ratio variants rename themselves). A
+// design that does not build gets empty keys, so its cells run alone and
+// report the build error themselves.
+func (h *Harness) frontKeys(d config.Design, sys config.System, bs []trace.Benchmark) []string {
+	keys := make([]string, len(bs))
+	mem, err := Build(d, sys)
+	if err != nil {
+		return keys
+	}
+	for i, b := range bs {
+		keys[i] = h.frontKey(sys, resolveProfile(mem.Name(), b))
+	}
+	return keys
+}
+
+// frontEnd is one group's shared front end: a tape and the key of the
+// inputs it was recorded from. Workers take one from frontPool per group
+// and reuse its storage.
+type frontEnd struct {
+	key  string // "" until a recording completes
+	tape cpu.Tape
+}
+
+var frontPool = sync.Pool{New: func() any { return new(frontEnd) }}
+
+// getFrontEnd takes an empty front end from the pool; return it with
+// frontPool.Put once its group is done.
+func getFrontEnd() *frontEnd {
+	fe := frontPool.Get().(*frontEnd)
+	fe.key = ""
+	return fe
 }
 
 // RunStream simulates one design over an externally supplied access
@@ -218,7 +302,7 @@ func (h *Harness) RunStream(design config.Design, bench string, st trace.Stream)
 		st = &trace.Limit{S: st, N: h.Accesses}
 	}
 	sp := h.Spans.Start(h.SpanParent, "simulate/"+string(design))
-	r, err := h.runStream(sys, mem, bench, st, 0)
+	r, err := h.runStream(sys, mem, bench, st, 0, nil, "")
 	if err != nil {
 		h.Spans.Fail(sp, err)
 		return r, err
@@ -255,15 +339,20 @@ func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func()
 	})
 }
 
-// runStream is the shared back half of Run and RunStream: it builds the
-// cache hierarchy, attaches fault injection and telemetry, feeds the
-// stream through cpu.Run's batch ingestion path, and assembles the
-// result. seed is recorded in failure messages for replayability (0 for
-// external traces, whose identity is the trace file itself).
-func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, st trace.Stream, seed uint64) (RunResult, error) {
-	hier, err := cache.NewHierarchy(sys.Caches)
-	if err != nil {
-		return RunResult{}, err
+// runStream is the shared back half of Run and RunStream: it attaches
+// fault injection and telemetry, feeds the stream through the cpu model,
+// and assembles the result. seed is recorded in failure messages for
+// replayability (0 for external traces, whose identity is the trace file
+// itself). With a nil fe the stream is filtered through a fresh
+// hierarchy; otherwise the run replays fe's tape when it was recorded
+// from inputs named key, and records a new tape into fe when not.
+func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, st trace.Stream, seed uint64, fe *frontEnd, key string) (RunResult, error) {
+	var hier *cache.Hierarchy
+	if fe == nil || fe.key != key {
+		var err error
+		if hier, err = cache.NewHierarchy(sys.Caches); err != nil {
+			return RunResult{}, err
+		}
 	}
 	// Fault injection follows the same cell-identity seeding rule: the
 	// injector's schedule depends only on (design, benchmark) plus the
@@ -300,7 +389,23 @@ func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, 
 	// buffer is scratch space fully rewritten each batch — sharing cannot
 	// leak state between cells.
 	accBuf := accBufPool.Get().(*[]trace.Access)
-	res, err := cpu.Run(sys.Core, hier, mem, st, cpu.WithAccessBuffer(*accBuf))
+	buf := cpu.WithAccessBuffer(*accBuf)
+	var res cpu.Result
+	var err error
+	switch {
+	case fe == nil:
+		res, err = cpu.Run(sys.Core, hier, mem, st, buf)
+	case hier == nil:
+		res, err = cpu.Replay(sys.Core, mem, st, &fe.tape, buf)
+	default:
+		if h.onRecord != nil {
+			h.onRecord()
+		}
+		fe.key = "" // the tape is incomplete until the recording succeeds
+		if res, err = cpu.Record(sys.Core, hier, mem, st, &fe.tape, buf); err == nil {
+			fe.key = key
+		}
+	}
 	accBufPool.Put(accBuf)
 	if err != nil {
 		// Include the cell's replay identity: the seed pins the workload

@@ -36,20 +36,23 @@ func (h *Harness) MAL() ([]MALResult, error) {
 	}
 	return sweepCells(h, cells, 2, func(i int) (MALResult, error) { // each cell runs SRAM- and HBM-metadata
 		b := bs[i]
-		sram, err := h.RunDesign(config.DesignBumblebee, b)
-		if err != nil {
-			return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
+		// Both runs read the same trace through the same hierarchy: the
+		// SRAM-metadata run records the front end, the HBM one replays it.
+		fe := getFrontEnd()
+		defer frontPool.Put(fe)
+		var runs [2]RunResult
+		for k, inHBM := range []bool{false, true} {
+			sys := h.System()
+			sys.Bumblebee.MetadataInHBM = inHBM
+			mem, err := Build(config.DesignBumblebee, sys)
+			if err == nil {
+				runs[k], err = h.runFront(fe, sys, mem, b)
+			}
+			if err != nil {
+				return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
+			}
 		}
-		sysH := h.System()
-		sysH.Bumblebee.MetadataInHBM = true
-		memH, err := Build(config.DesignBumblebee, sysH)
-		if err != nil {
-			return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
-		}
-		hbm, err := h.Run(sysH, memH, b)
-		if err != nil {
-			return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
-		}
+		sram, hbm := runs[0], runs[1]
 		r := MALResult{
 			Bench:   b.Profile.Name,
 			SRAMLat: sram.CPU.AvgMissLatency(),

@@ -21,7 +21,7 @@ func (h *Harness) Matrix(sys config.System, designs, benches []string) ([][]RunR
 			d, b := designs[di], benches[bi]
 			return cell{ID: cellID("matrix", d, b), Seed: runner.Seed(d, b)}
 		},
-		func(di, bi int) (RunResult, error) {
+		func(di, bi int, _ *frontEnd) (RunResult, error) {
 			d, bench := designs[di], benches[bi]
 			b, err := trace.ByName(bench)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -328,5 +330,73 @@ func TestShardedFig8PartitionsExactly(t *testing.T) {
 	}
 	if total != len(full.PerRun) {
 		t.Errorf("shards cover %d cells, want %d", total, len(full.PerRun))
+	}
+}
+
+// journalCells writes a journal holding exactly the given cells of a
+// reference fault sweep (indices into its PerRun, design-major, rate,
+// then benchmark) and reopens it for resume.
+func journalCells(t *testing.T, ref *FigFaultResult, idx ...int) *ckpt.Journal {
+	t.Helper()
+	dir := t.TempDir()
+	j, err := ckpt.Create(dir, resumeMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := len(resumeHarness().Benchmarks())
+	for _, i := range idx {
+		r := ref.PerRun[i]
+		rate := resumeRates[(i/nb)%len(resumeRates)]
+		id := cellID("figfault", fmt.Sprintf("%s@%g", r.Design, rate), r.Bench)
+		if err := j.Append(id, runner.Seed(r.Design, r.Bench), 1, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, _, err := ckpt.Resume(dir, resumeMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j2.Close() })
+	if j2.Resumed() != len(idx) {
+		t.Fatalf("journal resumed %d cells, want %d", j2.Resumed(), len(idx))
+	}
+	return j2
+}
+
+func TestResumeSharedFrontEndGroups(t *testing.T) {
+	ref, err := resumeHarness().FigFaultWith(resumeDesigns, resumeRates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := figFaultBytes(t, resumeHarness())
+	nb := len(resumeHarness().Benchmarks())
+	groups := int64(len(resumeDesigns) * nb) // one per (design, benchmark)
+	cases := []struct {
+		name      string
+		journaled []int
+		records   int64
+	}{
+		// The group's recorder is journaled: its other member records.
+		{"one member", []int{0}, groups},
+		// Both members journaled: the group never runs its front end.
+		{"whole group", []int{0, nb}, groups - 1},
+	}
+	for _, tc := range cases {
+		h := resumeHarness()
+		h.Journal = journalCells(t, ref, tc.journaled...)
+		h.Obs = obs.NewSweep("resume")
+		var got []byte
+		if n := recordings(t, h, func() error { got = figFaultBytes(t, h); return nil }); n != tc.records {
+			t.Errorf("%s: %d tape recordings, want %d", tc.name, n, tc.records)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: resumed sweep differs from the uninterrupted one", tc.name)
+		}
+		if r := h.Obs.Snapshot().Resumed; r != uint64(len(tc.journaled)) {
+			t.Errorf("%s: %d cells resumed, want %d", tc.name, r, len(tc.journaled))
+		}
 	}
 }

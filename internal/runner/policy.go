@@ -70,6 +70,11 @@ type Policy struct {
 	// inline on the worker).
 	Timeout time.Duration
 
+	// Weight, when set, scales item i's deadline to Timeout × Weight(i):
+	// an item that runs several cells back to back gets every cell's
+	// budget. nil means a weight of one.
+	Weight func(i int) int
+
 	// Retry is the per-cell retry budget for transient failures.
 	Retry Retry
 
@@ -117,6 +122,48 @@ func (p *Policy) backoffFor(i, attempt int) time.Duration {
 	// synchronize their retry bursts.
 	j := SeedFold(p.Seed, uint64(i)<<16|uint64(attempt))
 	return d + time.Duration(j%uint64(d/2+1))
+}
+
+// Do runs cell i inline under the retry budget, without a deadline:
+// fn runs again after a transient failure until it succeeds, fails
+// permanently, exhausts MaxAttempts, or the sweep is interrupted. A
+// panic in fn is that attempt's error. Do returns how many attempts ran
+// and the final error.
+func (p *Policy) Do(i int, fn func() error) (attempts int, err error) {
+	once := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return fn()
+	}
+	return p.retry(i, once)
+}
+
+// retry is the retry loop shared by Do and MapPolicy: it calls attempt
+// until it succeeds or may not run again.
+func (p *Policy) retry(i int, attempt func() error) (int, error) {
+	maxAttempts := p.Retry.MaxAttempts
+	if maxAttempts < 1 {
+		maxAttempts = 1
+	}
+	for n := 1; ; n++ {
+		err := attempt()
+		if err == nil {
+			return n, nil
+		}
+		if !IsTransient(err) || n >= maxAttempts || p.interrupted() {
+			return n, err
+		}
+		if p.OnRetry != nil {
+			p.OnRetry(i, n, err)
+		}
+		p.doSleep(p.backoffFor(i, n))
+		if p.interrupted() {
+			return n, err
+		}
+	}
 }
 
 // interrupted reports whether the interrupt channel is closed.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -370,5 +371,48 @@ func TestMapPolicyDeterministicOutput(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("output differs at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestPolicyWeightScalesDeadline: an item of weight w gets w deadlines.
+func TestPolicyWeightScalesDeadline(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	weights := []int{1, 50}
+	pol := Policy{Timeout: 20 * time.Millisecond, Weight: func(i int) int { return weights[i] }}
+	_, err := MapPolicy(2, pol, weights, func(i, w int) (int, error) {
+		if w == 1 {
+			<-release // hangs past its single deadline
+			return 0, nil
+		}
+		time.Sleep(100 * time.Millisecond) // well inside 50 deadlines
+		return w, nil
+	})
+	var agg Errors
+	if !errors.As(err, &agg) || len(agg) != 1 || agg[0].Index != 0 || !errors.Is(agg[0], context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want only item 0 timed out", err)
+	}
+}
+
+// TestPolicyDo: one cell run inline under the retry budget.
+func TestPolicyDo(t *testing.T) {
+	pol := Policy{Retry: Retry{MaxAttempts: 3}}
+	calls := 0
+	n, err := pol.Do(0, func() error {
+		calls++
+		if calls < 3 {
+			return Transient(errors.New("flaky"))
+		}
+		return nil
+	})
+	if n != 3 || err != nil {
+		t.Errorf("transient twice: attempts=%d err=%v, want 3, nil", n, err)
+	}
+	perm := errors.New("invariant violated")
+	if n, err := pol.Do(0, func() error { return perm }); n != 1 || !errors.Is(err, perm) {
+		t.Errorf("permanent: attempts=%d err=%v, want 1 and the error", n, err)
+	}
+	if n, err := pol.Do(0, func() error { panic("boom") }); n != 1 || err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("panic: attempts=%d err=%v, want 1 and a panic error", n, err)
 	}
 }

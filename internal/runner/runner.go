@@ -177,10 +177,6 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 	if len(items) == 0 {
 		return out, nil
 	}
-	maxAttempts := pol.Retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	var (
 		next int
 		mu   sync.Mutex
@@ -233,10 +229,14 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 			v, err := fn(i, items[i])
 			ch <- result{v: v, err: err}
 		}()
+		timeout := pol.Timeout
+		if pol.Weight != nil {
+			timeout *= time.Duration(max(pol.Weight(i), 1))
+		}
 		if st.timer == nil {
-			st.timer = time.NewTimer(pol.Timeout)
+			st.timer = time.NewTimer(timeout)
 		} else {
-			st.timer.Reset(pol.Timeout)
+			st.timer.Reset(timeout)
 		}
 		select {
 		case res := <-ch:
@@ -254,29 +254,14 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 			return nil
 		case <-st.timer.C:
 			st.ch = nil // the abandoned goroutine keeps the old channel
-			return fmt.Errorf("timed out after %v: %w", pol.Timeout, context.DeadlineExceeded)
+			return fmt.Errorf("timed out after %v: %w", timeout, context.DeadlineExceeded)
 		}
 	}
 	// runCell is the retry loop around attempt.
 	runCell := func(st *workerState, i int) {
-		for n := 1; ; n++ {
-			err := attempt(st, i)
-			if err == nil {
-				return
-			}
-			transient := IsTransient(err)
-			if !transient || n >= maxAttempts || pol.interrupted() {
-				errs[i] = &CellError{Index: i, Attempts: n, Transient: transient, Err: err}
-				return
-			}
-			if pol.OnRetry != nil {
-				pol.OnRetry(i, n, err)
-			}
-			pol.doSleep(pol.backoffFor(i, n))
-			if pol.interrupted() {
-				errs[i] = &CellError{Index: i, Attempts: n, Transient: transient, Err: err}
-				return
-			}
+		n, err := pol.retry(i, func() error { return attempt(st, i) })
+		if err != nil {
+			errs[i] = &CellError{Index: i, Attempts: n, Transient: IsTransient(err), Err: err}
 		}
 	}
 	wg.Add(workers)

@@ -335,10 +335,10 @@ func TestEmptyTraces(t *testing.T) {
 // first-access, non-monotonic, and overflow clamping.
 func TestStreamGapDerivation(t *testing.T) {
 	recs := []Rec{
-		{Cycle: 1_000_000, Addr: 0x40},             // first: gap 1 regardless of offset
-		{Cycle: 1_000_010, Addr: 0x80},             // +10
-		{Cycle: 1_000_005, Addr: 0xC0},             // backwards: 0
-		{Cycle: 1_000_005 + 1<<40, Addr: 0x100},    // overflow: clamp
+		{Cycle: 1_000_000, Addr: 0x40},                       // first: gap 1 regardless of offset
+		{Cycle: 1_000_010, Addr: 0x80},                       // +10
+		{Cycle: 1_000_005, Addr: 0xC0},                       // backwards: 0
+		{Cycle: 1_000_005 + 1<<40, Addr: 0x100},              // overflow: clamp
 		{Cycle: 1_000_006 + 1<<40, Addr: 0x140, Write: true}, // +1
 	}
 	s := NewStream(&sliceReader{recs: recs})
