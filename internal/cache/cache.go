@@ -1,7 +1,12 @@
+// Package cache implements the on-chip SRAM cache hierarchy of Table I:
+// set-associative write-back caches with LRU, SRRIP and DRRIP replacement,
+// composed into an L1/L2/L3 hierarchy that turns a core's load/store stream
+// into the LLC-miss stream consumed by the hybrid memory system.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -24,11 +29,12 @@ func (s Stats) HitRate() float64 {
 }
 
 // policyKind selects the replacement policy compiled into the access
-// loop. The standalone Policy implementations in policy.go describe the
-// same algorithms behind an interface; the cache keeps its policy state
-// in flat arrays and switches on the kind instead, so the hit/victim/fill
-// path runs without dynamic dispatch or per-set slice chasing. Decisions
-// are identical to the interface implementations.
+// loop: LRU, SRRIP, or DRRIP (Jaleel et al., ISCA'10, with 2-bit RRPVs
+// and set dueling between SRRIP and bimodal BRRIP). The cache switches
+// on the kind instead of calling through an interface, so the
+// hit/victim/fill path runs without dynamic dispatch. The package tests
+// keep a straightforward per-way model of the same three policies and
+// check every decision of this one against it.
 type policyKind uint8
 
 const (
@@ -38,16 +44,29 @@ const (
 )
 
 const (
-	lineValid     = 1 << 0
-	lineDirty     = 1 << 1
-	lineShiftBits = 2 // tag occupies bits [2,64)
+	lineDirty     = 1 << 0
+	lineShiftBits = 1 // tag occupies bits [1,64)
 )
+
+// rrpvMax is the 2-bit re-reference prediction value ceiling.
+const rrpvMax = 3
+
+// setMeta is one set's replacement record.
+type setMeta struct {
+	// n counts the set's valid lines. Lines are never invalidated and a
+	// fill takes the first free way, so the valid lines are always the
+	// prefix row[:n] of the set's ways.
+	n int
+	// repl is the LRU logical clock, or for RRIP the packed RRPVs: way
+	// w's 2-bit value sits at bits [2w, 2w+2).
+	repl uint64
+}
 
 // Cache is one set-associative write-back, write-allocate cache level.
 // Line state is struct-of-arrays: each line is a single packed word
-// (tag<<2 | dirty | valid) in one flat slice indexed by set*ways+way, so a
-// tag probe scans one contiguous run of machine words with one load per
-// way.
+// (tag<<1 | dirty) in one flat slice indexed by set*ways+way, so a tag
+// probe scans one contiguous run of machine words with one load per way,
+// and only over the set's filled prefix.
 type Cache struct {
 	name      string
 	sets      int
@@ -57,23 +76,24 @@ type Cache struct {
 	setMask   uint64 // sets-1 (sets is a power of two)
 	setShift  uint   // log2(sets)
 
-	lines []uint64 // [set*ways+way]: tag<<2 | lineDirty | lineValid
+	lines []uint64  // [set*ways+way]: tag<<1 | lineDirty
+	meta  []setMeta // [set]
 
 	kind policyKind
-	// LRU state: per-line stamps against a per-set logical clock.
+	// LRU state: per-line stamps against the set's clock (setMeta.repl).
 	stamp []uint64 // [set*ways+way]
-	clock []uint64 // [set]
-	// RRIP state, shared by SRRIP and DRRIP. (The original DRRIP kept one
-	// RRPV array per component policy, but every operation left the two
-	// arrays equal, so one array carries both.)
-	rrpv  []uint8 // [set*ways+way]
-	fills uint64  // BRRIP bimodal fill counter (DRRIP only)
-	psel  int     // DRRIP set-dueling selector
+	// RRIP state, shared by SRRIP and DRRIP. DRRIP's two component
+	// policies always agree on every RRPV (the reference model in the
+	// tests keeps one array per component; they never diverge), so the
+	// set's one word (setMeta.repl) carries both.
+	ones  uint64 // 0b01 in every way's RRPV field
+	fills uint64 // BRRIP bimodal fill counter (DRRIP only)
+	psel  int    // DRRIP set-dueling selector
 	stats Stats
 }
 
 // drripDuelMask picks the leader sets: set&mask==0 leads SRRIP, ==1 leads
-// BRRIP (matching the standalone DRRIP policy).
+// BRRIP.
 const drripDuelMask = 31
 
 // NewCache builds a cache level from its Table I description.
@@ -82,7 +102,7 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
 	linesTotal := cfg.SizeBytes / cfg.LineBytes
-	if uint64(cfg.Ways) > linesTotal || linesTotal%uint64(cfg.Ways) != 0 {
+	if cfg.Ways <= 0 || uint64(cfg.Ways) > linesTotal || linesTotal%uint64(cfg.Ways) != 0 {
 		return nil, fmt.Errorf("cache %s: %d lines not divisible into %d ways", cfg.Name, linesTotal, cfg.Ways)
 	}
 	sets := int(linesTotal / uint64(cfg.Ways))
@@ -96,6 +116,7 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 		lineBytes: cfg.LineBytes,
 		setMask:   uint64(sets - 1),
 		lines:     make([]uint64, sets*cfg.Ways),
+		meta:      make([]setMeta, sets),
 	}
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
@@ -113,11 +134,13 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 	}
 	if c.kind == policyLRU {
 		c.stamp = make([]uint64, sets*cfg.Ways)
-		c.clock = make([]uint64, sets)
 	} else {
-		c.rrpv = make([]uint8, sets*cfg.Ways)
-		for i := range c.rrpv {
-			c.rrpv[i] = rrpvMax
+		if cfg.Ways > config.MaxRRIPWays {
+			return nil, fmt.Errorf("cache %s: %s supports at most %d ways, got %d",
+				cfg.Name, cfg.Policy, config.MaxRRIPWays, cfg.Ways)
+		}
+		for w := 0; w < cfg.Ways; w++ {
+			c.ones |= 1 << (2 * w)
 		}
 	}
 	return c, nil
@@ -140,25 +163,26 @@ type Eviction struct {
 	Dirty bool
 }
 
-// onHit updates replacement state for a hit on way of set.
-func (c *Cache) onHit(set, base, way int) {
+// onHit updates replacement state for a hit on way of the set whose
+// record is m and whose lines start at base.
+func (c *Cache) onHit(m *setMeta, base, way int) {
 	if c.kind == policyLRU {
-		c.clock[set]++
-		c.stamp[base+way] = c.clock[set]
+		m.repl++
+		c.stamp[base+way] = m.repl
 		return
 	}
-	c.rrpv[base+way] = 0
+	m.repl &^= rrpvMax << (2 * way)
 }
 
 // onFill updates replacement state for a fill into way of set.
-func (c *Cache) onFill(set, base, way int) {
+func (c *Cache) onFill(m *setMeta, set, base, way int) {
+	var v uint64 = rrpvMax - 1 // long re-reference interval
 	switch c.kind {
 	case policyLRU:
-		c.clock[set]++
-		c.stamp[base+way] = c.clock[set]
-	case policySRRIP:
-		c.rrpv[base+way] = rrpvMax - 1 // long re-reference interval
-	default: // DRRIP
+		m.repl++
+		c.stamp[base+way] = m.repl
+		return
+	case policyDRRIP:
 		// A fill means the previous access to this set missed; leaders vote.
 		switch set & drripDuelMask {
 		case 0:
@@ -170,18 +194,16 @@ func (c *Cache) onFill(set, base, way int) {
 				c.psel--
 			}
 		}
-		if c.useSRRIP(set) {
-			c.rrpv[base+way] = rrpvMax - 1
-		} else {
+		if !c.useSRRIP(set) {
 			// BRRIP: mostly distant (rrpvMax), occasionally long.
 			c.fills++
-			if c.fills%32 == 0 {
-				c.rrpv[base+way] = rrpvMax - 1
-			} else {
-				c.rrpv[base+way] = rrpvMax
+			if c.fills%32 != 0 {
+				v = rrpvMax
 			}
 		}
 	}
+	s := 2 * way
+	m.repl = m.repl&^(rrpvMax<<s) | v<<s
 }
 
 func (c *Cache) useSRRIP(set int) bool {
@@ -194,8 +216,8 @@ func (c *Cache) useSRRIP(set int) bool {
 	return c.psel <= 0
 }
 
-// victim selects the way to evict from set. Every way is valid.
-func (c *Cache) victim(set, base int) int {
+// victim selects the way to evict from a full set.
+func (c *Cache) victim(m *setMeta, base int) int {
 	if c.kind == policyLRU {
 		row := c.stamp[base : base+c.ways]
 		victim, min := 0, row[0]
@@ -207,22 +229,27 @@ func (c *Cache) victim(set, base int) int {
 		return victim
 	}
 	// RRIP aging, collapsed: repeatedly scanning for rrpvMax and aging
-	// everything by one until a line reaches it is the same as aging every
-	// line by the distance of the oldest line and evicting the first line
-	// that was at the maximum.
-	row := c.rrpv[base : base+c.ways]
-	victim, max := 0, row[0]
-	for w := 1; w < len(row); w++ {
-		if row[w] > max {
-			victim, max = w, row[w]
-		}
+	// every line by one until one reaches it is the same as aging every
+	// line by the distance d of the oldest and evicting the first line
+	// that was oldest. With each way's RRPV split into its low and high
+	// bit, the first way at 3, else 2, else 1, else 0 is the lowest set
+	// field of hi&lo, hi, lo, or way 0. Aging is then one add: every
+	// field is at most rrpvMax-d, so none carries into its neighbour.
+	x := m.repl
+	lo, hi := x&c.ones, x>>1&c.ones
+	var d, cand uint64
+	switch {
+	case hi&lo != 0:
+		cand = hi & lo
+	case hi != 0:
+		d, cand = 1, hi
+	case lo != 0:
+		d, cand = 2, lo
+	default:
+		d, cand = 3, 1
 	}
-	if d := rrpvMax - max; d > 0 {
-		for w := range row {
-			row[w] += d
-		}
-	}
-	return victim
+	m.repl = x + d*c.ones
+	return bits.TrailingZeros64(cand) >> 1
 }
 
 // Access looks up a in the cache. On a miss the line is allocated
@@ -231,29 +258,27 @@ func (c *Cache) victim(set, base int) int {
 func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted bool) {
 	set, tag := c.index(a)
 	base := set * c.ways
+	m := &c.meta[set]
 	row := c.lines[base : base+c.ways]
-	// One pass finds both a hit and the first invalid way. Folding the
-	// dirty bit makes the probe a single compare: only a valid line with
-	// a matching tag can equal the target (the valid bit differs
-	// otherwise).
-	target := tag<<lineShiftBits | lineDirty | lineValid
-	way := -1
-	for w, v := range row {
+	// Folding the dirty bit makes the probe a single compare per valid
+	// line.
+	target := tag<<lineShiftBits | lineDirty
+	for w, v := range row[:m.n] {
 		if v|lineDirty == target {
 			c.stats.Hits++
-			c.onHit(set, base, w)
+			c.onHit(m, base, w)
 			if write {
 				row[w] = v | lineDirty
 			}
 			return true, Eviction{}, false
 		}
-		if v&lineValid == 0 && way == -1 {
-			way = w
-		}
 	}
 	c.stats.Misses++
-	if way == -1 {
-		way = c.victim(set, base)
+	way := m.n
+	if way < c.ways {
+		m.n++
+	} else {
+		way = c.victim(m, base)
 		old := row[way]
 		dirty := old&lineDirty != 0
 		ev = Eviction{Addr: c.lineAddr(set, old>>lineShiftBits), Dirty: dirty}
@@ -262,27 +287,13 @@ func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted 
 			c.stats.Writebacks++
 		}
 	}
-	v := tag<<lineShiftBits | lineValid
+	v := tag << lineShiftBits
 	if write {
 		v |= lineDirty
 	}
 	row[way] = v
-	c.onFill(set, base, way)
+	c.onFill(m, set, base, way)
 	return false, ev, evicted
-}
-
-// Contains reports whether the line holding a is resident (no side
-// effects).
-func (c *Cache) Contains(a addr.Addr) bool {
-	set, tag := c.index(a)
-	base := set * c.ways
-	target := tag<<lineShiftBits | lineValid
-	for _, v := range c.lines[base : base+c.ways] {
-		if v|lineDirty == target|lineDirty {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Cache) lineAddr(set int, tag uint64) addr.Addr {

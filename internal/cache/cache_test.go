@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/config"
+	"repro/internal/trace"
 )
 
 func smallCache(t *testing.T, policy string) *Cache {
@@ -24,10 +27,39 @@ func TestNewCacheRejectsBadGeometry(t *testing.T) {
 		{Name: "badline", SizeBytes: 1024, Ways: 2, LineBytes: 48},
 		{Name: "badways", SizeBytes: 192, Ways: 4, LineBytes: 64},
 		{Name: "badsets", SizeBytes: 3 * 64 * 2, Ways: 2, LineBytes: 64},
+		{Name: "zeroways", SizeBytes: 1024, Ways: 0, LineBytes: 64},
 	}
 	for _, cfg := range cases {
 		if _, err := NewCache(cfg); err == nil {
 			t.Errorf("NewCache(%q) accepted invalid geometry", cfg.Name)
+		}
+	}
+}
+
+// TestNewCacheWayLimits: RRIP levels stop at config.MaxRRIPWays, the
+// number of 2-bit RRPVs one set word holds; LRU has no such ceiling.
+func TestNewCacheWayLimits(t *testing.T) {
+	cases := []struct {
+		policy string
+		ways   int
+		ok     bool
+	}{
+		{"SRRIP", 32, true},
+		{"DRRIP", 32, true},
+		{"SRRIP", 64, false},
+		{"DRRIP", 64, false},
+		{"LRU", 64, true},
+		{"LRU", 512, true},
+	}
+	for _, tc := range cases {
+		cfg := config.CacheLevel{Name: "wide", SizeBytes: uint64(tc.ways) * 4 * 64,
+			Ways: tc.ways, LineBytes: 64, Policy: tc.policy}
+		_, err := NewCache(cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewCache(%s, %d ways) error = %v, want ok=%v", tc.policy, tc.ways, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "wide") {
+			t.Errorf("error %q does not name the cache", err)
 		}
 	}
 }
@@ -119,26 +151,7 @@ func TestDRRIPBehavesAsCache(t *testing.T) {
 	}
 }
 
-func TestPolicyVictimAlwaysInRange(t *testing.T) {
-	for _, name := range []string{"LRU", "SRRIP", "DRRIP"} {
-		p := NewPolicy(name, 16, 4)
-		for s := 0; s < 16; s++ {
-			for w := 0; w < 4; w++ {
-				p.OnFill(s, w)
-			}
-			for i := 0; i < 8; i++ {
-				v := p.Victim(s)
-				if v < 0 || v >= 4 {
-					t.Fatalf("%s victim %d out of range", name, v)
-				}
-				p.OnFill(s, v)
-				p.OnHit(s, (v+1)%4)
-			}
-		}
-	}
-}
-
-func newHier(t *testing.T) *Hierarchy {
+func newHier(t testing.TB) *Hierarchy {
 	t.Helper()
 	h, err := NewHierarchy(config.Default().Caches)
 	if err != nil {
@@ -212,5 +225,114 @@ func TestHierarchyLLCFilter(t *testing.T) {
 	}
 	if got := h.LLC().Stats().Misses; got != miss0 {
 		t.Errorf("LLC misses grew from %d to %d on resident set", miss0, got)
+	}
+}
+
+// TestCacheMatchesReference drives the packed cache and the per-way
+// reference model (reference_test.go) with the same seeded streams and
+// requires the same outcome for every access: hit flag, evicted line and
+// its dirty bit, and the final counters. The grid covers every policy at
+// every supported power-of-two associativity, one set (a lone SRRIP
+// leader) to 64 sets (two leaders of each kind plus followers),
+// read-only to write-only mixes, and footprints of a quarter and twice
+// the cache's capacity.
+func TestCacheMatchesReference(t *testing.T) {
+	accesses := 20000
+	if testing.Short() {
+		accesses = 4000
+	}
+	var followedSRRIP, followedBRRIP bool // DRRIP follower sets' choices seen
+	for _, policy := range []string{"LRU", "SRRIP", "DRRIP"} {
+		for _, ways := range []int{2, 4, 8, 16, 32} {
+			for _, sets := range []int{1, 4, 64} {
+				for _, span := range []int{2, 16} { // footprint in eighths of capacity
+					for _, writePct := range []int{0, 30, 100} {
+						cfg := config.CacheLevel{Name: "diff", SizeBytes: uint64(sets * ways * 64),
+							Ways: ways, LineBytes: 64, Policy: policy}
+						c, err := NewCache(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref := newRefCache(cfg)
+						lines := max(sets*ways*span/8, 1)
+						rng := rand.New(rand.NewSource(int64(ways*1000003 + sets*1009 + span*101 + writePct)))
+						for i := 0; i < accesses; i++ {
+							line := rng.Intn(lines)
+							if rng.Intn(2) == 0 { // a hot quarter of the footprint
+								line = rng.Intn(max(lines/4, 1))
+							}
+							a := addr.Addr(line*64 + rng.Intn(64))
+							write := rng.Intn(100) < writePct
+							hit, ev, evicted := c.Access(a, write)
+							rhit, rev, revicted := ref.Access(a, write)
+							if hit != rhit || evicted != revicted || ev != rev {
+								t.Fatalf("%s ways=%d sets=%d span=%d/8 writes=%d%% access %d (%#x, write=%v): "+
+									"got hit=%v ev=%+v evicted=%v, reference hit=%v ev=%+v evicted=%v",
+									policy, ways, sets, span, writePct, i, uint64(a), write,
+									hit, ev, evicted, rhit, rev, revicted)
+							}
+							if policy == "DRRIP" && sets > 32 {
+								followedSRRIP = followedSRRIP || c.psel <= 0
+								followedBRRIP = followedBRRIP || c.psel > 0
+							}
+						}
+						if c.Stats() != ref.stats {
+							t.Fatalf("%s ways=%d sets=%d span=%d/8 writes=%d%%: stats %+v, reference %+v",
+								policy, ways, sets, span, writePct, c.Stats(), ref.stats)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !followedSRRIP || !followedBRRIP {
+		t.Errorf("DRRIP follower sets never used both components (SRRIP %v, BRRIP %v)",
+			followedSRRIP, followedBRRIP)
+	}
+}
+
+// hierarchyStream is a fixed seeded access stream over a bench-scale
+// (Scale 256) mcf footprint, the same generator the simulator feeds the
+// hierarchy.
+func hierarchyStream(tb testing.TB, n int) []trace.Access {
+	tb.Helper()
+	b, err := trace.ByName("mcf")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := trace.NewSynthetic(b.Scale(256).Profile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	acc := make([]trace.Access, n)
+	for i := 0; i < n; {
+		i += gen.NextBatch(acc[i:])
+	}
+	return acc
+}
+
+// BenchmarkHierarchyAccess times one access through the Table I L1/L2/L3
+// hierarchy (LRU, SRRIP, DRRIP) over a recorded stream.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	acc := hierarchyStream(b, 1<<16)
+	h := newHier(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := acc[i&(len(acc)-1)]
+		h.Access(a.Addr, a.Write)
+	}
+}
+
+func TestHierarchyAccessAllocs(t *testing.T) {
+	acc := hierarchyStream(t, 1<<12)
+	h := newHier(t)
+	i := 0
+	allocs := testing.AllocsPerRun(len(acc), func() {
+		a := acc[i%len(acc)]
+		h.Access(a.Addr, a.Write)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Hierarchy.Access allocates %.2f times per access, want 0", allocs)
 	}
 }

@@ -30,6 +30,10 @@ type CacheLevel struct {
 	LatencyCyc uint64 // hit latency in core cycles
 }
 
+// MaxRRIPWays is the associativity ceiling of SRRIP and DRRIP levels: the
+// cache packs a set's 2-bit RRPVs into one 64-bit word.
+const MaxRRIPWays = 32
+
 // DRAMTiming captures the first-order timing of one DRAM-like device
 // (Table I gives tCAS-tRCD-tRP in device clocks; refresh and turnaround
 // use standard values for the densities involved).
@@ -255,7 +259,12 @@ func (s System) Validate() error {
 			return fmt.Errorf("config: cache %q size not divisible by ways*line", c.Name)
 		}
 		switch c.Policy {
-		case "LRU", "SRRIP", "DRRIP":
+		case "LRU":
+		case "SRRIP", "DRRIP":
+			if c.Ways > MaxRRIPWays {
+				return fmt.Errorf("config: cache %q: %s supports at most %d ways, got %d",
+					c.Name, c.Policy, MaxRRIPWays, c.Ways)
+			}
 		default:
 			return fmt.Errorf("config: cache %q has unknown policy %q", c.Name, c.Policy)
 		}

@@ -67,6 +67,10 @@ func TestValidateRejects(t *testing.T) {
 		{"zero mlp", func(s *System) { s.Core.MLP = 0 }, "MLP"},
 		{"no caches", func(s *System) { s.Caches = nil }, "cache level"},
 		{"bad policy", func(s *System) { s.Caches[0].Policy = "FIFO" }, "policy"},
+		{"wide srrip", func(s *System) {
+			s.Caches[1].Ways, s.Caches[1].SizeBytes = 64, 64*64*64
+		}, `cache "L2": SRRIP supports at most 32 ways`},
+		{"wide drrip", func(s *System) { s.Caches[2].Ways = 64 }, `cache "L3": DRRIP supports at most 32 ways`},
 		{"zero channels", func(s *System) { s.HBM.Channels = 0 }, "channels"},
 		{"zero clock", func(s *System) { s.DRAM.Timing.ClockMHz = 0 }, "clock"},
 		{"bad ratio", func(s *System) { s.Bumblebee.FixedCacheRatio = 1.5 }, "ratio"},
@@ -88,6 +92,16 @@ func TestValidateRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, m.want)
 			}
 		})
+	}
+}
+
+// TestValidateWayLimits: only RRIP levels have an associativity ceiling.
+func TestValidateWayLimits(t *testing.T) {
+	s := Default()
+	s.Caches[0].Ways = 128 // LRU L1D: 64 KiB / 64 B lines = 1024 lines
+	s.Caches[2].Ways = MaxRRIPWays
+	if err := s.Validate(); err != nil {
+		t.Errorf("128-way LRU and %d-way DRRIP rejected: %v", MaxRRIPWays, err)
 	}
 }
 

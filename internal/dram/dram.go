@@ -354,12 +354,6 @@ func (d *Device) activate() {
 	d.stats.ActEnergyPJ += d.actPJ
 }
 
-// UnloadedLatency returns the CPU-cycle latency of a closed-row read of
-// burstBytes with no contention — useful for calibration and tests.
-func (d *Device) UnloadedLatency() uint64 {
-	return d.tRCD + d.tCAS + uint64(math.Ceil(float64(d.burstBytes)*d.cyclesPerByte))
-}
-
 // PeakBytesPerCycle returns the aggregate peak data-bus throughput in
 // bytes per CPU cycle.
 func (d *Device) PeakBytesPerCycle() float64 {

@@ -42,14 +42,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestUnloadedLatencyOrdering(t *testing.T) {
-	hbm, ddr := newHBM(t), newDDR(t)
-	// HBM 7-7 @1GHz is far faster than DDR4 22-22 @1.6GHz in CPU cycles.
-	if hbm.UnloadedLatency() >= ddr.UnloadedLatency() {
-		t.Errorf("HBM unloaded %d >= DDR %d", hbm.UnloadedLatency(), ddr.UnloadedLatency())
-	}
-}
-
 func TestRowHitFasterThanMiss(t *testing.T) {
 	d := newHBM(t)
 	a := addr.Addr(0)

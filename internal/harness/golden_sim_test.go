@@ -72,3 +72,29 @@ func TestFig7SimulatedGolden(t *testing.T) {
 	}
 	checkGolden(t, "fig7_sim_runs.golden.csv", buf.Bytes())
 }
+
+// TestFig8SimulatedGolden pins Fig 8's per-run rows for all seven
+// designs: the six compared designs from the sweep, then the no-HBM
+// baseline the figure normalizes against. Every design sits behind the
+// same SRAM hierarchy, so this is also the end-to-end check that the
+// cache kernel's replacement decisions have not moved.
+func TestFig8SimulatedGolden(t *testing.T) {
+	h := goldenSimHarness()
+	res, err := h.Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := append([]RunResult(nil), res.PerRun...)
+	for _, b := range h.Benchmarks() {
+		r, err := h.RunDesign(config.DesignNoHBM, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
+	var buf bytes.Buffer
+	if err := WriteRunsCSV(&buf, runs); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig8_sim_runs.golden.csv", buf.Bytes())
+}

@@ -96,8 +96,9 @@ func SpanSamples(spans []TraceSpan) []alert.Span {
 	return out
 }
 
-// AnalyzeTrace applies the service-trace anomaly rules via the shared
-// alert engine (the same rules a live bbserve job evaluates):
+// AnalyzeTraceRules evaluates a rule set over a span tree through the
+// shared alert engine, preserving the engine's rule order. Under
+// alert.Defaults() — the rules a live bbserve job evaluates — it flags:
 //
 //   - queue-dominated: the job waited in the queue longer than it
 //     simulated — the fleet is undersized for the offered load.
@@ -108,12 +109,6 @@ func SpanSamples(spans []TraceSpan) []alert.Span {
 //     path — would be slower than simulating a trivial job (the
 //     "cache-hit slower than miss" smell).
 //   - aborted/error spans: the tree records a drain abort or failure.
-func AnalyzeTrace(spans []TraceSpan) []TraceFlag {
-	return AnalyzeTraceRules(spans, alert.Defaults())
-}
-
-// AnalyzeTraceRules evaluates an arbitrary rule set over a span tree,
-// preserving the engine's rule order.
 func AnalyzeTraceRules(spans []TraceSpan, rs alert.RuleSet) []TraceFlag {
 	alerts := alert.Evaluate(alert.Input{Spans: SpanSamples(spans)}, rs)
 	var flags []TraceFlag

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/alert"
 )
 
 // fixtureSpans loads the committed service_trace.json fixture: a
@@ -78,7 +80,7 @@ func TestCriticalPath(t *testing.T) {
 func TestAnalyzeTraceRules(t *testing.T) {
 	rules := func(spans []TraceSpan) []string {
 		var out []string
-		for _, f := range AnalyzeTrace(spans) {
+		for _, f := range AnalyzeTraceRules(spans, alert.Defaults()) {
 			out = append(out, f.Rule)
 		}
 		return out

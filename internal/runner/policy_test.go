@@ -276,19 +276,45 @@ func TestMapTimeoutNoGoroutineLeak(t *testing.T) {
 // TestMapTimeoutNoStaleTimerTimeout: a cell completing in the same
 // instant the deadline timer fires must not poison the worker's next
 // cell with the stale expiry. Regression test for the undrained
-// timer.Reset bug: cells that finish just under the deadline are followed
-// by instant cells, none of which may time out.
+// timer.Reset bug: cells that finish just under the deadline (even
+// indices) are followed by instant cells (odd indices). The stale-expiry
+// symptom is a timeout on an instant cell, and only that fails the test.
+// A timeout on a near-deadline cell is the host oversleeping the 2 ms
+// margin; such a run proves nothing either way, so it is retried, and if
+// every attempt overshoots the test is skipped rather than passed.
 func TestMapTimeoutNoStaleTimerTimeout(t *testing.T) {
+	const attempts = 5
 	timeout := 30 * time.Millisecond
-	items := make([]int, 20)
-	_, err := MapTimeout(1, timeout, items, func(i, item int) (int, error) {
-		if i%2 == 0 {
-			time.Sleep(timeout - 2*time.Millisecond) // finish a hair under the deadline
+	for try := 1; ; try++ {
+		items := make([]int, 20)
+		_, err := MapTimeout(1, timeout, items, func(i, item int) (int, error) {
+			if i%2 == 0 {
+				time.Sleep(timeout - 2*time.Millisecond) // finish a hair under the deadline
+			}
+			return i, nil
+		})
+		var errs Errors
+		if err != nil && !errors.As(err, &errs) {
+			t.Fatalf("MapTimeout: %v", err)
 		}
-		return i, nil
-	})
-	if err != nil {
-		t.Fatalf("spurious timeout from stale timer state: %v", err)
+		var overshot []int
+		for _, e := range errs {
+			if !errors.Is(e, context.DeadlineExceeded) {
+				t.Fatalf("cell %d: unexpected error %v", e.Index, e.Err)
+			}
+			if e.Index%2 == 1 {
+				t.Fatalf("instant cell %d timed out: stale timer expiry leaked from cell %d: %v",
+					e.Index, e.Index-1, e.Err)
+			}
+			overshot = append(overshot, e.Index)
+		}
+		if len(overshot) == 0 {
+			return
+		}
+		if try == attempts {
+			t.Skipf("near-deadline cells overran on all %d attempts (host scheduling); property not exercised", attempts)
+		}
+		t.Logf("attempt %d: near-deadline cells %v overran the deadline (host scheduling); retrying", try, overshot)
 	}
 }
 
